@@ -1098,9 +1098,7 @@ fn permuted_rhs(b: Option<&[f64]>, n: usize, nrhs: usize, total_perm: &Perm) -> 
     b.map(|b| {
         assert_eq!(b.len(), n * nrhs, "rhs block must be n x nrhs");
         let mut bp = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            bp[r * n..(r + 1) * n].copy_from_slice(&total_perm.apply_vec(&b[r * n..(r + 1) * n]));
-        }
+        total_perm.gather_block(b, &mut bp);
         bp
     })
 }
@@ -1137,10 +1135,7 @@ fn finish_rank(
     let factor = gather_factor(rank, sym, map, &rf, total_perm.clone());
     let x = xp.map(|xp| {
         let mut x = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            x[r * n..(r + 1) * n]
-                .copy_from_slice(&total_perm.apply_inv_vec(&xp[r * n..(r + 1) * n]));
-        }
+        total_perm.scatter_block(&xp, &mut x);
         x
     });
     Ok(RankOut {

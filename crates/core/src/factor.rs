@@ -136,15 +136,10 @@ impl Factor {
             });
         }
         let mut x = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            x[r * n..(r + 1) * n].copy_from_slice(&self.perm.apply_vec(&b[r * n..(r + 1) * n]));
-        }
+        self.perm.gather_block(b, &mut x);
         self.solve_many_permuted_in_place(&mut x, nrhs);
         let mut out = vec![0.0; n * nrhs];
-        for r in 0..nrhs {
-            out[r * n..(r + 1) * n]
-                .copy_from_slice(&self.perm.apply_inv_vec(&x[r * n..(r + 1) * n]));
-        }
+        self.perm.scatter_block(&x, &mut out);
         Ok(out)
     }
 
@@ -269,24 +264,6 @@ impl Factor {
                 (acc, sign)
             }
         }
-    }
-
-    /// Iterative refinement: solve, then apply `iters` correction steps
-    /// `x += A⁻¹ (b − A x)`. Returns `(x, final residual ∞-norm)`.
-    pub fn solve_refined(&self, a: &CscMatrix, b: &[f64], iters: usize) -> (Vec<f64>, f64) {
-        let mut x = self.solve(b);
-        for _ in 0..iters {
-            let r = parfact_sparse::ops::sym_residual(a, &x, b);
-            if parfact_sparse::ops::norm_inf(&r) == 0.0 {
-                break;
-            }
-            let dx = self.solve(&r);
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi += di;
-            }
-        }
-        let r = parfact_sparse::ops::sym_residual(a, &x, b);
-        (x, parfact_sparse::ops::norm_inf(&r))
     }
 
     /// Reconstruct the factor as an explicit sparse lower-triangular matrix

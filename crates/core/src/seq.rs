@@ -120,6 +120,7 @@ pub(crate) fn factorize_seq_into(
 mod tests {
     use super::*;
     use crate::factor::reconstruction_error;
+    use crate::solver::{FactorOpts, RhsBlock, SolveOpts, SparseCholesky};
     use parfact_sparse::{gen, ops};
     use parfact_symbolic::{analyze, AmalgOpts};
 
@@ -228,9 +229,11 @@ mod tests {
     fn refined_solve_tightens_residual() {
         let a = gen::random_spd(80, 6, 42);
         let b = vec![1.0; 80];
-        let (f, _) = pipeline(&a, FactorKind::Llt);
-        let (_, r) = f.solve_refined(&a, &b, 2);
-        assert!(r < 1e-10);
+        let chol = SparseCholesky::factorize(&a, &FactorOpts::new()).unwrap();
+        let out = chol
+            .solve_with(RhsBlock::single(&b), &SolveOpts::new().refine(2))
+            .unwrap();
+        assert!(out.residual.unwrap() < 1e-10);
     }
 
     #[test]

@@ -46,19 +46,6 @@ pub fn solve_smp_many(
     nrhs: usize,
     threads: usize,
 ) -> Result<Vec<f64>, FactorError> {
-    solve_smp_many_traced(factor, b, nrhs, threads, &Collector::new(TraceLevel::Off))
-}
-
-/// [`solve_smp_many`] with instrumentation: per-worker `Phase::Solve`
-/// spans (one per supernode per sweep) land in `tr` when its level records
-/// spans, giving the timeline per-worker solve lanes.
-pub fn solve_smp_many_traced(
-    factor: &Factor,
-    b: &[f64],
-    nrhs: usize,
-    threads: usize,
-    tr: &Collector,
-) -> Result<Vec<f64>, FactorError> {
     let sym = &factor.sym;
     let n = sym.n;
     if b.len() != n * nrhs {
@@ -67,18 +54,36 @@ pub fn solve_smp_many_traced(
             got: b.len(),
         });
     }
+    let mut x = vec![0.0f64; n * nrhs];
+    factor.perm.gather_block(b, &mut x);
+    let off = Collector::new(TraceLevel::Off);
+    solve_smp_permuted_in_place(factor, &mut x, nrhs, threads, &off);
+    let mut out = vec![0.0f64; n * nrhs];
+    factor.perm.scatter_block(&x, &mut out);
+    Ok(out)
+}
+
+/// The tree-parallel sweeps in the permuted index space, in place: `x`
+/// holds the permuted `n x nrhs` right-hand-side block on entry and the
+/// permuted solution on return. With one thread (or one supernode) this
+/// is literally [`Factor::solve_many_permuted_in_place`]. Per-worker
+/// `Phase::Solve` spans (one per supernode per sweep) land in `tr` when
+/// its level records spans, giving the timeline per-worker solve lanes.
+pub(crate) fn solve_smp_permuted_in_place(
+    factor: &Factor,
+    x: &mut [f64],
+    nrhs: usize,
+    threads: usize,
+    tr: &Collector,
+) {
+    let sym = &factor.sym;
+    let n = sym.n;
     let nthreads = resolve_threads(threads);
     if nthreads <= 1 || sym.nsuper() <= 1 || nrhs == 0 {
-        // Literally the sequential blocked path — the fallback is bitwise
-        // identical to `Factor::try_solve_many`.
-        return factor.try_solve_many(b, nrhs);
+        factor.solve_many_permuted_in_place(x, nrhs);
+        return;
     }
     let unit = factor.kind == FactorKind::Ldlt;
-    let mut bp = vec![0.0f64; n * nrhs];
-    for r in 0..nrhs {
-        bp[r * n..(r + 1) * n].copy_from_slice(&factor.perm.apply_vec(&b[r * n..(r + 1) * n]));
-    }
-    let bp = bp;
     let nsuper = sym.nsuper();
 
     // ---- Forward sweep (leaves to roots). ----
@@ -100,7 +105,7 @@ pub fn solve_smp_many_traced(
         std::thread::scope(|scope| {
             for wid in 0..nthreads {
                 let (pending, done, injector) = (&pending, &done, &injector);
-                let (xseg, contrib, bp) = (&xseg, &contrib, &bp);
+                let (xseg, contrib, bp) = (&xseg, &contrib, &*x);
                 scope.spawn(move || {
                     let mut rec = tr.local(wid);
                     let mut backoff = Backoff::new();
@@ -174,7 +179,7 @@ pub fn solve_smp_many_traced(
             }
         });
     }
-    let mut x = vec![0.0f64; n * nrhs];
+    // The right-hand side is consumed: the pivot segments overwrite it.
     for s in 0..nsuper {
         let (c0, c1) = (sym.sn_ptr[s], sym.sn_ptr[s + 1]);
         let w = c1 - c0;
@@ -207,7 +212,7 @@ pub fn solve_smp_many_traced(
         std::thread::scope(|scope| {
             for wid in 0..nthreads {
                 let (done, injector) = (&done, &injector);
-                let (xcell, xrows_of, x) = (&xcell, &xrows_of, &x);
+                let (xcell, xrows_of, x) = (&xcell, &xrows_of, &*x);
                 scope.spawn(move || {
                     let mut rec = tr.local(wid);
                     let mut backoff = Backoff::new();
@@ -286,11 +291,6 @@ pub fn solve_smp_many_traced(
             }
         }
     }
-    let mut out = vec![0.0f64; n * nrhs];
-    for r in 0..nrhs {
-        out[r * n..(r + 1) * n].copy_from_slice(&factor.perm.apply_inv_vec(&x[r * n..(r + 1) * n]));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

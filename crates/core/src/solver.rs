@@ -232,9 +232,10 @@ pub enum SolveEngine {
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolveOpts {
-    /// Iterative-refinement correction steps (`x += A⁻¹ (b − A x)`),
-    /// applied per column against the factored (permuted, possibly
-    /// equilibrated) matrix. `0` by default.
+    /// Iterative-refinement correction steps (`x += A⁻¹ (b − A x)`)
+    /// against the factored (permuted, possibly equilibrated) matrix, one
+    /// blocked correction sweep per step over the columns whose residual
+    /// is not yet exactly zero. `0` by default.
     pub refine: usize,
     /// Execution engine for the triangular sweeps.
     pub engine: SolveEngine,
@@ -592,13 +593,21 @@ impl SparseCholesky {
     }
 
     /// Solve `A X = B` for a right-hand-side block under [`SolveOpts`]:
-    /// the unified entry point the legacy `solve`/`solve_refined`/
-    /// `solve_equilibrated` surface funnels into.
+    /// the unified entry point the one-vector [`SparseCholesky::solve`]
+    /// funnels into.
     ///
     /// All `nrhs` columns stream through the factor panels together
     /// (BLAS-3 blocked sweeps), and every column's floating-point operation
     /// order is independent of `nrhs` — on any given engine, batched
     /// results are bitwise identical to one-at-a-time solves.
+    ///
+    /// Iterative refinement is blocked the same way. The block is permuted
+    /// in once and stays in the permuted space of the factored matrix.
+    /// Each step forms the residuals of the columns still active, drops a
+    /// column whose residual ∞-norm is exactly zero, and corrects the rest
+    /// with one sequential interleaved sweep — under every [`SolveEngine`],
+    /// which picks the base solve only. At most three `n x nrhs` blocks are
+    /// live at once, the sweep's interleave scratch included.
     ///
     /// ```
     /// use parfact_core::solver::{FactorOpts, RhsBlock, SolveOpts, SparseCholesky};
@@ -618,7 +627,8 @@ impl SparseCholesky {
                 got: b.data.len(),
             });
         }
-        if let Some(d) = &opts.scale {
+        let scale = opts.scale.as_deref();
+        if let Some(d) = scale {
             if d.len() != n {
                 return Err(FactorError::DimensionMismatch {
                     expected: n,
@@ -628,65 +638,89 @@ impl SparseCholesky {
         }
         // lint:allow(R1) solve-phase timer: reports wall time of real host work
         let t0 = Instant::now();
-        // Equilibrated systems: the factor holds D·A·D, so solve against
-        // the scaled right-hand side and unscale the solution.
-        let mut bs = b.data.to_vec();
-        if let Some(d) = &opts.scale {
-            for col in bs.chunks_mut(n.max(1)) {
-                for (v, &di) in col.iter_mut().zip(d) {
-                    *v *= di;
+        let perm = &self.factor.perm;
+        // Permute the block in once. Equilibrated systems: the factor
+        // holds D·A·D, so solve against the scaled right-hand side and
+        // unscale the solution.
+        let mut xp = vec![0.0; n * nrhs];
+        perm.gather_block(b.data, &mut xp);
+        if let Some(d) = scale {
+            for col in xp.chunks_mut(n.max(1)) {
+                for (v, &old) in col.iter_mut().zip(perm.perm()) {
+                    *v *= d[old];
                 }
             }
         }
         let tr = Collector::new(self.trace);
-        let mut x = match opts.engine {
-            SolveEngine::Auto | SolveEngine::Sequential => self.factor.try_solve_many(&bs, nrhs)?,
-            SolveEngine::Smp { threads } => {
-                crate::smp_solve::solve_smp_many_traced(&self.factor, &bs, nrhs, threads, &tr)?
+        match opts.engine {
+            SolveEngine::Auto | SolveEngine::Sequential => {
+                self.factor.solve_many_permuted_in_place(&mut xp, nrhs)
             }
-        };
-        // Iterative refinement, per column, in the permuted space of the
-        // matrix actually factored (no original-matrix argument needed).
+            SolveEngine::Smp { threads } => crate::smp_solve::solve_smp_permuted_in_place(
+                &self.factor,
+                &mut xp,
+                nrhs,
+                threads,
+                &tr,
+            ),
+        }
+        // The residual block; the solution is permuted out into it last.
+        let mut x = vec![0.0; n * nrhs];
+        let mut sweep_cols = nrhs;
+        let mut spmv_cols = 0;
         let mut residual = None;
         if opts.refine > 0 || opts.residual {
-            let perm = &self.factor.perm;
-            let mut worst = 0.0f64;
-            for col in 0..nrhs {
-                let bp = perm.apply_vec(&bs[col * n..(col + 1) * n]);
-                let mut xp = perm.apply_vec(&x[col * n..(col + 1) * n]);
-                for _ in 0..opts.refine {
-                    let mut rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
-                    if parfact_sparse::ops::norm_inf(&rp) == 0.0 {
-                        break;
+            let mut active: Vec<usize> = (0..nrhs).collect();
+            for _ in 0..opts.refine {
+                spmv_cols += active.len();
+                let mut kept = 0;
+                for i in 0..active.len() {
+                    let c = active[i];
+                    let r = &mut x[kept * n..(kept + 1) * n];
+                    self.residual_permuted(b.data, scale, &xp, c, r);
+                    if parfact_sparse::ops::norm_inf(r) != 0.0 {
+                        active[kept] = c;
+                        kept += 1;
                     }
-                    self.factor.solve_many_permuted_in_place(&mut rp, 1);
-                    for (xi, di) in xp.iter_mut().zip(&rp) {
+                }
+                active.truncate(kept);
+                if kept == 0 {
+                    break;
+                }
+                let dx = &mut x[..kept * n];
+                self.factor.solve_many_permuted_in_place(dx, kept);
+                sweep_cols += kept;
+                for (&c, dxc) in active.iter().zip(dx.chunks_exact(n)) {
+                    for (xi, di) in xp[c * n..(c + 1) * n].iter_mut().zip(dxc) {
                         *xi += di;
                     }
                 }
-                let rp = parfact_sparse::ops::sym_residual(&self.ap, &xp, &bp);
-                // The factored matrix is D·A·D under equilibration, so
-                // `rp` is the scaled residual r̂ = D(b − A x); the caller's
+            }
+            spmv_cols += nrhs;
+            let mut worst = 0.0f64;
+            for c in 0..nrhs {
+                let r = &mut x[c * n..(c + 1) * n];
+                self.residual_permuted(b.data, scale, &xp, c, r);
+                // The factored matrix is D·A·D under equilibration, so `r`
+                // is the scaled residual r̂ = D(b − A x); the caller's
                 // residual is D⁻¹ r̂ (entry k sits at original row
                 // `old_of_new(k)`). Reporting r̂ itself was a bug: D
                 // shrinks exactly the rows equilibration targets, making
                 // ill-scaled systems look better converged than they are.
-                let col_worst = match &opts.scale {
-                    Some(d) => rp
+                let col_worst = match scale {
+                    Some(d) => r
                         .iter()
-                        .enumerate()
-                        .map(|(k, &v)| (v / d[perm.old_of_new(k)]).abs())
+                        .zip(perm.perm())
+                        .map(|(&v, &old)| (v / d[old]).abs())
                         .fold(0.0f64, f64::max),
-                    None => parfact_sparse::ops::norm_inf(&rp),
+                    None => parfact_sparse::ops::norm_inf(r),
                 };
                 worst = worst.max(col_worst);
-                if opts.refine > 0 {
-                    x[col * n..(col + 1) * n].copy_from_slice(&perm.apply_inv_vec(&xp));
-                }
             }
             residual = Some(worst);
         }
-        if let Some(d) = &opts.scale {
+        perm.scatter_block(&xp, &mut x);
+        if let Some(d) = scale {
             for col in x.chunks_mut(n.max(1)) {
                 for (v, &di) in col.iter_mut().zip(d) {
                     *v *= di;
@@ -694,14 +728,43 @@ impl SparseCholesky {
             }
         }
         let seconds = t0.elapsed().as_secs_f64();
-        // 4·nnz(L) flops per column per sweep pair, once for the base solve
-        // and once per refinement step (the spmv residuals add 4·nnz(A)).
-        let per_col = 4.0 * self.factor.nnz() as f64;
-        let flops = per_col * nrhs as f64 * (1.0 + opts.refine as f64)
-            + 4.0 * self.ap.nnz() as f64 * nrhs as f64 * opts.refine as f64;
+        // 4·nnz(L) flops per column per sweep pair and 4·nnz(A) per
+        // residual spmv, counted over the columns each actually ran on.
+        let flops = 4.0 * self.factor.nnz() as f64 * sweep_cols as f64
+            + 4.0 * self.ap.nnz() as f64 * spmv_cols as f64;
         self.solve_stats
             .accumulate(nrhs, seconds, flops, tr.take_spans(), self.trace.timeline());
         Ok(Solved { x, residual })
+    }
+
+    /// Column `c`'s residual in the permuted space, `r = bs − A·xp`, where
+    /// entry `k` of `bs` is the caller's `b[old_of_new(k)]`, times
+    /// `d[old_of_new(k)]` under equilibration: read through the
+    /// permutation, never copied.
+    fn residual_permuted(
+        &self,
+        b: &[f64],
+        scale: Option<&[f64]>,
+        xp: &[f64],
+        c: usize,
+        r: &mut [f64],
+    ) {
+        let n = r.len();
+        let b = &b[c * n..(c + 1) * n];
+        self.ap.sym_spmv(&xp[c * n..(c + 1) * n], r);
+        let old_of_new = self.factor.perm.perm();
+        match scale {
+            None => {
+                for (rk, &old) in r.iter_mut().zip(old_of_new) {
+                    *rk = b[old] - *rk;
+                }
+            }
+            Some(d) => {
+                for (rk, &old) in r.iter_mut().zip(old_of_new) {
+                    *rk = b[old] * d[old] - *rk;
+                }
+            }
+        }
     }
 
     /// Start a [`SolveSession`] that accumulates right-hand sides and
@@ -715,18 +778,6 @@ impl SparseCholesky {
             pending: Vec::new(),
             solved: Vec::new(),
         }
-    }
-
-    /// Solve with iterative refinement; returns `(x, final residual ∞-norm)`.
-    /// Needs the original matrix to compute residuals — pass the same `a`
-    /// given to `factorize`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use solve_with(RhsBlock::single(b), &SolveOpts::new().refine(iters)); \
-                it refines against the stored factored matrix, so no `a` argument"
-    )]
-    pub fn solve_refined(&self, a: &CscMatrix, b: &[f64], iters: usize) -> (Vec<f64>, f64) {
-        self.factor.solve_refined(a, b, iters)
     }
 
     /// The factorization record enriched with the solve phase: a
@@ -1571,11 +1622,6 @@ mod tests {
             .unwrap();
         assert!(out.residual.unwrap() < 1e-12);
         assert!(ops::sym_residual_inf(&a, &out.x, &b) < 1e-13);
-        // The deprecated shim still works and agrees.
-        #[allow(deprecated)]
-        let (x, r) = chol.solve_refined(&a, &b, 2);
-        assert!(r < 1e-12);
-        assert!(ops::sym_residual_inf(&a, &x, &b) < 1e-13);
     }
 
     #[test]
@@ -1698,6 +1744,33 @@ mod tests {
         assert!(solve.solves >= 3);
         assert!(solve.seconds > 0.0);
         assert!(solve.flops > 0.0);
+    }
+
+    #[test]
+    fn solve_flops_count_only_the_work_done() {
+        // Column 1 is all zero: its residual is exactly zero after the base
+        // solve, so it drops out before any correction sweep.
+        let a = gen::laplace2d(10, 10, gen::Stencil2d::FivePoint);
+        let n = a.nrows();
+        let mut b = vec![1.0; 2 * n];
+        b[n..].fill(0.0);
+        let flops_of = |opts: &SolveOpts| {
+            let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
+            chol.solve_with(RhsBlock::new(&b, 2), opts).unwrap();
+            let sweep = 4.0 * chol.factor_nnz() as f64;
+            let spmv = 4.0 * chol.permuted_matrix().nnz() as f64;
+            (chol.report_with_solve().solve.unwrap().flops, sweep, spmv)
+        };
+        // Base solve only: one sweep pair per column, no spmv.
+        let (flops, sweep, _) = flops_of(&SolveOpts::new());
+        assert_eq!(flops, 2.0 * sweep);
+        // The final residual is one spmv per column.
+        let (flops, sweep, spmv) = flops_of(&SolveOpts::new().residual(true));
+        assert_eq!(flops, 2.0 * sweep + 2.0 * spmv);
+        // One step: two residuals, one correction (column 0), then the
+        // final residual of both columns.
+        let (flops, sweep, spmv) = flops_of(&SolveOpts::new().refine(1));
+        assert_eq!(flops, 3.0 * sweep + 4.0 * spmv);
     }
 
     #[test]

@@ -101,17 +101,51 @@ impl Perm {
     /// Permute a vector: `out[new] = x[old_of_new(new)]`.
     pub fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.len());
-        self.perm.iter().map(|&old| x[old]).collect()
+        let mut out = vec![0.0; x.len()];
+        self.gather_block(x, &mut out);
+        out
     }
 
     /// Un-permute a vector: `out[old] = x[new_of_old(old)]`.
     pub fn apply_inv_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.len());
         let mut out = vec![0.0; x.len()];
-        for (new, &old) in self.perm.iter().enumerate() {
-            out[old] = x[new];
-        }
+        self.scatter_block(x, &mut out);
         out
+    }
+
+    /// Permute every column of a column-major `n x k` block into `out`
+    /// (same shape): `out[c*n + new] = src[c*n + old_of_new(new)]`.
+    pub fn gather_block(&self, src: &[f64], out: &mut [f64]) {
+        let n = self.block_rows(src, out);
+        for (s, o) in src.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            for (v, &old) in o.iter_mut().zip(&self.perm) {
+                *v = s[old];
+            }
+        }
+    }
+
+    /// Inverse of [`Perm::gather_block`]:
+    /// `out[c*n + old_of_new(new)] = src[c*n + new]`.
+    pub fn scatter_block(&self, src: &[f64], out: &mut [f64]) {
+        let n = self.block_rows(src, out);
+        for (s, o) in src.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            for (&v, &old) in s.iter().zip(&self.perm) {
+                o[old] = v;
+            }
+        }
+    }
+
+    /// Row count of the block pair `(src, out)`, checked against this
+    /// permutation (at least 1, so it can size `chunks_exact`).
+    fn block_rows(&self, src: &[f64], out: &[f64]) -> usize {
+        let n = self.len();
+        assert_eq!(src.len(), out.len(), "block shapes differ");
+        assert!(
+            src.len().is_multiple_of(n),
+            "block rows must match the permutation"
+        );
+        n.max(1)
     }
 
     /// Symmetric permutation of a **symmetric-lower** CSC matrix: returns the
@@ -211,6 +245,22 @@ mod tests {
         let p = Perm::random(8, &mut rng);
         let x: Vec<f64> = (0..8).map(|i| i as f64).collect();
         assert_eq!(p.apply_inv_vec(&p.apply_vec(&x)), x);
+    }
+
+    #[test]
+    fn block_gather_scatter_match_per_column_apply() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let p = Perm::random(7, &mut rng);
+        let src: Vec<f64> = (0..21).map(|i| i as f64).collect();
+        let mut fwd = vec![0.0; 21];
+        p.gather_block(&src, &mut fwd);
+        let mut back = vec![0.0; 21];
+        p.scatter_block(&fwd, &mut back);
+        assert_eq!(back, src);
+        for c in 0..3 {
+            let col = &src[c * 7..(c + 1) * 7];
+            assert_eq!(fwd[c * 7..(c + 1) * 7], p.apply_vec(col)[..]);
+        }
     }
 
     #[test]

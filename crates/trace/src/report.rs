@@ -53,7 +53,8 @@ pub struct SolveReport {
     pub rhs: u64,
     /// Wall-clock seconds across all solves (including refinement sweeps).
     pub seconds: f64,
-    /// Triangular-solve flops: `4 * nnz(L) * rhs` plus refinement work.
+    /// Solve flops actually performed: `4 * nnz(L)` per column per sweep
+    /// pair and `4 * nnz(A)` per column per residual spmv.
     pub flops: f64,
 }
 
