@@ -20,7 +20,7 @@ pub enum FactorError {
     Unsupported(String),
     /// A solve was handed a right-hand-side buffer whose length does not
     /// match the factored system (`expected = n * nrhs`). The checked solve
-    /// API returns this; the legacy `solve`/`solve_many` shims panic.
+    /// API returns this; the legacy `solve` shims panic.
     DimensionMismatch { expected: usize, got: usize },
     /// An engine invariant broke (e.g. the distributed gather produced no
     /// factor on the root rank). Always a bug, never a property of the

@@ -118,15 +118,8 @@ impl Factor {
 
     /// Solve `A X = B` for multiple right-hand sides stored column-major in
     /// `b` (`n x nrhs`). Sweeps run per supernode across all columns, so the
-    /// factor panels are traversed once regardless of `nrhs`.
-    ///
-    /// **Panics** if `b.len() != n * nrhs`; use [`Factor::try_solve_many`]
-    /// for the checked variant.
-    pub fn solve_many(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
-        self.try_solve_many(b, nrhs).expect("Factor::solve_many")
-    }
-
-    /// Checked multi-RHS solve (see [`Factor::solve_many`]).
+    /// factor panels are traversed once regardless of `nrhs`. A wrong
+    /// `b.len()` returns [`FactorError::DimensionMismatch`].
     pub fn try_solve_many(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>, FactorError> {
         let n = self.sym.n;
         if b.len() != n * nrhs {
@@ -178,7 +171,7 @@ impl Factor {
     /// (`xi[i*nrhs + r]`). The scattered ancestor rows are gathered into a
     /// contiguous `m x nrhs` scratch block around each off-diagonal apply
     /// — whole-row copies in this layout, exact by construction.
-    fn sweep_interleaved(&self, xi: &mut [f64], nrhs: usize) {
+    pub(crate) fn sweep_interleaved(&self, xi: &mut [f64], nrhs: usize) {
         let sym = &self.sym;
         let unit = self.kind == FactorKind::Ldlt;
         let nsuper = sym.nsuper();

@@ -101,7 +101,7 @@ pub fn schur_complement(
     let interior = SparseCholesky::factorize(&a_ii, opts)?;
 
     // Y = A_II^{-1} A_IG, blocked over all interface columns at once.
-    let y = interior.factor().solve_many(&aig, k);
+    let y = interior.factor().try_solve_many(&aig, k)?;
 
     // S = A_GG - A_GI * Y  (A_GI = A_IG^T).
     let mut s = agg;

@@ -18,6 +18,8 @@ use parfact_trace::{Collector, Counters, FactorReport, Phase, SolveReport, SpanE
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+mod lanes;
+
 /// Options for the simulator-backed distributed engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistOpts {
@@ -198,14 +200,18 @@ impl FactorOpts {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveEngine {
-    /// Let the solver pick. Currently the blocked sequential sweep: its
-    /// results are bitwise reproducible across runs and thread counts,
-    /// which is the right default for a direct solver.
+    /// Lane-parallel over the machine's cores: the right-hand-side
+    /// columns are split into one group per core (at least 4 columns
+    /// each), and every group runs the whole solve, refinement included,
+    /// on its own thread. Each column's operations do not depend on the
+    /// grouping, so the result is bitwise identical to `Sequential` for
+    /// every thread count.
     #[default]
     Auto,
-    /// The blocked sequential sweep, explicitly.
+    /// The whole solve in one lane group on the calling thread.
     Sequential,
-    /// Tree-parallel shared-memory sweep over the assembly tree.
+    /// Tree-parallel shared-memory base solve over the assembly tree,
+    /// then refinement in up to `threads` lane groups as under `Auto`.
     /// `threads: 0` sizes the pool from the machine; a pool of one falls
     /// back to the sequential sweep. Deterministic — contributions fold in
     /// assembly-tree child order regardless of scheduling, so repeated
@@ -366,8 +372,9 @@ impl SolveStats {
         g.flops += flops;
         if timeline {
             if spans.is_empty() {
-                // Engines without per-supernode solve hooks (the sequential
-                // sweep) still contribute one whole-solve span.
+                // A solve that ran no traced sweep (an empty block, or the
+                // SMP engine's one-thread fallback without refinement)
+                // still contributes one whole-solve span.
                 spans.push(SpanEvent {
                     phase: Phase::Solve,
                     supernode: None,
@@ -601,13 +608,18 @@ impl SparseCholesky {
     /// order is independent of `nrhs` — on any given engine, batched
     /// results are bitwise identical to one-at-a-time solves.
     ///
-    /// Iterative refinement is blocked the same way. The block is permuted
-    /// in once and stays in the permuted space of the factored matrix.
-    /// Each step forms the residuals of the columns still active, drops a
-    /// column whose residual ∞-norm is exactly zero, and corrects the rest
-    /// with one sequential interleaved sweep — under every [`SolveEngine`],
-    /// which picks the base solve only. At most three `n x nrhs` blocks are
-    /// live at once, the sweep's interleave scratch included.
+    /// The columns are split into contiguous lane groups — one per core
+    /// under [`SolveEngine::Auto`], one in all under
+    /// [`SolveEngine::Sequential`] — and each group runs the whole solve
+    /// on its own thread: permute in, base sweep, refinement, permute out.
+    /// Refinement stays in the permuted space of the factored matrix. Each
+    /// step forms the residuals of the group's active columns with one
+    /// interleaved spmv, drops a column whose residual ∞-norm is exactly
+    /// zero, and corrects the rest with one interleaved sweep. Under
+    /// [`SolveEngine::Smp`] only the base solve differs: it runs
+    /// tree-parallel before the groups take over. At most two `n x nrhs`
+    /// blocks are live at once, and the result is bitwise the same for
+    /// every group count.
     ///
     /// ```
     /// use parfact_core::solver::{FactorOpts, RhsBlock, SolveOpts, SparseCholesky};
@@ -619,6 +631,21 @@ impl SparseCholesky {
     /// assert_eq!(out.x.len(), 64 * 2);
     /// ```
     pub fn solve_with(&self, b: RhsBlock<'_>, opts: &SolveOpts) -> Result<Solved, FactorError> {
+        let groups = match opts.engine {
+            SolveEngine::Auto => crate::smp::resolve_threads(0),
+            SolveEngine::Sequential => 1,
+            SolveEngine::Smp { threads } => crate::smp::resolve_threads(threads),
+        };
+        self.solve_in_groups(b, opts, groups)
+    }
+
+    /// [`SparseCholesky::solve_with`] in at most `groups` lane groups.
+    pub(crate) fn solve_in_groups(
+        &self,
+        b: RhsBlock<'_>,
+        opts: &SolveOpts,
+        groups: usize,
+    ) -> Result<Solved, FactorError> {
         let n = self.factor.sym.n;
         let nrhs = b.nrhs;
         if b.data.len() != n * nrhs {
@@ -638,133 +665,46 @@ impl SparseCholesky {
         }
         // lint:allow(R1) solve-phase timer: reports wall time of real host work
         let t0 = Instant::now();
-        let perm = &self.factor.perm;
-        // Permute the block in once. Equilibrated systems: the factor
-        // holds D·A·D, so solve against the scaled right-hand side and
-        // unscale the solution.
+        let tr = Collector::new(self.trace);
+        let job = lanes::Job {
+            factor: &self.factor,
+            ap: &self.ap,
+            b: b.data,
+            scale,
+            refine: opts.refine,
+            residual: opts.residual,
+        };
         let mut xp = vec![0.0; n * nrhs];
-        perm.gather_block(b.data, &mut xp);
-        if let Some(d) = scale {
-            for col in xp.chunks_mut(n.max(1)) {
-                for (v, &old) in col.iter_mut().zip(perm.perm()) {
-                    *v *= d[old];
+        let based = if let SolveEngine::Smp { threads } = opts.engine {
+            // The tree-parallel base solve runs on the permuted
+            // column-major block; the lane groups take over from there.
+            for (c, col) in xp.chunks_exact_mut(n.max(1)).enumerate() {
+                for (k, v) in col.iter_mut().enumerate() {
+                    *v = job.rhs(k, c);
                 }
             }
-        }
-        let tr = Collector::new(self.trace);
-        match opts.engine {
-            SolveEngine::Auto | SolveEngine::Sequential => {
-                self.factor.solve_many_permuted_in_place(&mut xp, nrhs)
-            }
-            SolveEngine::Smp { threads } => crate::smp_solve::solve_smp_permuted_in_place(
+            crate::smp_solve::solve_smp_permuted_in_place(
                 &self.factor,
                 &mut xp,
                 nrhs,
                 threads,
                 &tr,
-            ),
-        }
-        // The residual block; the solution is permuted out into it last.
+            );
+            true
+        } else {
+            false
+        };
         let mut x = vec![0.0; n * nrhs];
-        let mut sweep_cols = nrhs;
-        let mut spmv_cols = 0;
-        let mut residual = None;
-        if opts.refine > 0 || opts.residual {
-            let mut active: Vec<usize> = (0..nrhs).collect();
-            for _ in 0..opts.refine {
-                spmv_cols += active.len();
-                let mut kept = 0;
-                for i in 0..active.len() {
-                    let c = active[i];
-                    let r = &mut x[kept * n..(kept + 1) * n];
-                    self.residual_permuted(b.data, scale, &xp, c, r);
-                    if parfact_sparse::ops::norm_inf(r) != 0.0 {
-                        active[kept] = c;
-                        kept += 1;
-                    }
-                }
-                active.truncate(kept);
-                if kept == 0 {
-                    break;
-                }
-                let dx = &mut x[..kept * n];
-                self.factor.solve_many_permuted_in_place(dx, kept);
-                sweep_cols += kept;
-                for (&c, dxc) in active.iter().zip(dx.chunks_exact(n)) {
-                    for (xi, di) in xp[c * n..(c + 1) * n].iter_mut().zip(dxc) {
-                        *xi += di;
-                    }
-                }
-            }
-            spmv_cols += nrhs;
-            let mut worst = 0.0f64;
-            for c in 0..nrhs {
-                let r = &mut x[c * n..(c + 1) * n];
-                self.residual_permuted(b.data, scale, &xp, c, r);
-                // The factored matrix is D·A·D under equilibration, so `r`
-                // is the scaled residual r̂ = D(b − A x); the caller's
-                // residual is D⁻¹ r̂ (entry k sits at original row
-                // `old_of_new(k)`). Reporting r̂ itself was a bug: D
-                // shrinks exactly the rows equilibration targets, making
-                // ill-scaled systems look better converged than they are.
-                let col_worst = match scale {
-                    Some(d) => r
-                        .iter()
-                        .zip(perm.perm())
-                        .map(|(&v, &old)| (v / d[old]).abs())
-                        .fold(0.0f64, f64::max),
-                    None => parfact_sparse::ops::norm_inf(r),
-                };
-                worst = worst.max(col_worst);
-            }
-            residual = Some(worst);
-        }
-        perm.scatter_block(&xp, &mut x);
-        if let Some(d) = scale {
-            for col in x.chunks_mut(n.max(1)) {
-                for (v, &di) in col.iter_mut().zip(d) {
-                    *v *= di;
-                }
-            }
-        }
+        let tally = lanes::solve(&job, nrhs, groups, based, &mut xp, &mut x, &tr);
+        let residual = (opts.refine > 0 || opts.residual).then_some(tally.worst);
         let seconds = t0.elapsed().as_secs_f64();
         // 4·nnz(L) flops per column per sweep pair and 4·nnz(A) per
         // residual spmv, counted over the columns each actually ran on.
-        let flops = 4.0 * self.factor.nnz() as f64 * sweep_cols as f64
-            + 4.0 * self.ap.nnz() as f64 * spmv_cols as f64;
+        let flops = 4.0 * self.factor.nnz() as f64 * (nrhs + tally.correction_cols) as f64
+            + 4.0 * self.ap.nnz() as f64 * tally.spmv_cols as f64;
         self.solve_stats
             .accumulate(nrhs, seconds, flops, tr.take_spans(), self.trace.timeline());
         Ok(Solved { x, residual })
-    }
-
-    /// Column `c`'s residual in the permuted space, `r = bs − A·xp`, where
-    /// entry `k` of `bs` is the caller's `b[old_of_new(k)]`, times
-    /// `d[old_of_new(k)]` under equilibration: read through the
-    /// permutation, never copied.
-    fn residual_permuted(
-        &self,
-        b: &[f64],
-        scale: Option<&[f64]>,
-        xp: &[f64],
-        c: usize,
-        r: &mut [f64],
-    ) {
-        let n = r.len();
-        let b = &b[c * n..(c + 1) * n];
-        self.ap.sym_spmv(&xp[c * n..(c + 1) * n], r);
-        let old_of_new = self.factor.perm.perm();
-        match scale {
-            None => {
-                for (rk, &old) in r.iter_mut().zip(old_of_new) {
-                    *rk = b[old] - *rk;
-                }
-            }
-            Some(d) => {
-                for (rk, &old) in r.iter_mut().zip(old_of_new) {
-                    *rk = b[old] * d[old] - *rk;
-                }
-            }
-        }
     }
 
     /// Start a [`SolveSession`] that accumulates right-hand sides and
@@ -1818,5 +1758,29 @@ mod tests {
             PROFILE_TOP_K,
         );
         assert_eq!(Some(p), r.profile);
+
+        // A 16-column solve in two lane groups records one solve span per
+        // sweep on each group's worker: base sweep and one correction.
+        let b16: Vec<f64> = (0..16 * a.nrows()).map(|i| (i % 9) as f64 - 4.0).collect();
+        let block = RhsBlock::new(&b16, 16);
+        let opts = SolveOpts::new().refine(1);
+        let before = chol.report_with_solve().spans.len();
+        let traced = chol.solve_in_groups(block, &opts, 2).unwrap();
+        let spans = chol.report_with_solve().spans;
+        let mut who: Vec<usize> = spans[before..].iter().map(|s| s.who).collect();
+        assert!(spans[before..].iter().all(|s| s.phase == Phase::Solve));
+        who.sort_unstable();
+        assert_eq!(who, [0, 0, 1, 1]);
+        // Traced and untraced solves agree bitwise.
+        let plain = SparseCholesky::factorize(&a, &FactorOpts::new()).unwrap();
+        let untraced = plain.solve_in_groups(block, &opts, 2).unwrap();
+        assert_eq!(
+            traced.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            untraced.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            traced.residual.map(f64::to_bits),
+            untraced.residual.map(f64::to_bits)
+        );
     }
 }

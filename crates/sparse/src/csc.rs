@@ -138,6 +138,37 @@ impl CscMatrix {
         }
     }
 
+    /// [`Self::sym_spmv`] on `nrhs` vectors at once, stored interleaved:
+    /// entry `i` of vector `l` sits at `x[i * nrhs + l]` (and likewise in
+    /// `y`). `A` is streamed once for all vectors, and each vector gets
+    /// exactly `sym_spmv`'s operations in the same order, so the result is
+    /// bitwise what `nrhs` separate `sym_spmv` calls return.
+    pub fn sym_spmv_rm(&self, x: &[f64], nrhs: usize, y: &mut [f64]) {
+        if nrhs == 1 {
+            // One lane is plain `sym_spmv`, without the per-entry lane loops.
+            return self.sym_spmv(x, y);
+        }
+        assert_eq!(self.nrows, self.ncols, "symmetric matrix must be square");
+        assert_eq!(x.len(), self.ncols * nrhs);
+        assert_eq!(y.len(), self.nrows * nrhs);
+        y.fill(0.0);
+        for c in 0..self.ncols {
+            let (rows, vals) = self.col(c);
+            let xc = &x[c * nrhs..(c + 1) * nrhs];
+            for (&r, &v) in rows.iter().zip(vals) {
+                for (yr, &xcl) in y[r * nrhs..(r + 1) * nrhs].iter_mut().zip(xc) {
+                    *yr += v * xcl;
+                }
+                if r != c {
+                    let xr = &x[r * nrhs..(r + 1) * nrhs];
+                    for (yc, &xrl) in y[c * nrhs..(c + 1) * nrhs].iter_mut().zip(xr) {
+                        *yc += v * xrl;
+                    }
+                }
+            }
+        }
+    }
+
     /// Convert to CSR.
     pub fn to_csr(&self) -> CsrMatrix {
         // CSR of A = transpose of (CSC of A read as CSR of Aᵀ).
@@ -317,6 +348,41 @@ mod tests {
         a.sym_spmv(&x, &mut y1);
         full.spmv(&x, &mut y2);
         assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn sym_spmv_rm_is_bitwise_per_column_sym_spmv() {
+        // Column 1 of the 4x4 matrix stores nothing at all, not even its
+        // diagonal; the 0x0 matrix has no columns.
+        let mut a = CooMatrix::new(4, 4);
+        for (r, c, v) in [
+            (0, 0, 4.1),
+            (2, 0, -1.3),
+            (3, 0, 0.7),
+            (2, 2, 5.2),
+            (3, 2, -2.2),
+            (3, 3, 6.0),
+        ] {
+            a.push(r, c, v);
+        }
+        for a in [a.to_csc(), sym_lower_3x3(), CooMatrix::new(0, 0).to_csc()] {
+            let n = a.nrows();
+            for nrhs in [1usize, 2, 5, 16] {
+                let x: Vec<f64> = (0..n * nrhs)
+                    .map(|i| ((i * 7 + 3) % 11) as f64 / 3.0 - 1.7)
+                    .collect();
+                let mut y = vec![f64::NAN; n * nrhs];
+                a.sym_spmv_rm(&x, nrhs, &mut y);
+                for l in 0..nrhs {
+                    let xl: Vec<f64> = (0..n).map(|i| x[i * nrhs + l]).collect();
+                    let mut yl = vec![0.0; n];
+                    a.sym_spmv(&xl, &mut yl);
+                    for (i, v) in yl.iter().enumerate() {
+                        assert_eq!(y[i * nrhs + l].to_bits(), v.to_bits(), "n={n} nrhs={nrhs}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
