@@ -1,6 +1,6 @@
 //! `bench_solve` — evidence artifact for the batched-solve PR: measures
 //! triangular-solve throughput as a function of the right-hand-side block
-//! width, for the sequential and SMP solve engines, and records the
+//! width, on the sequential solve engine, and records the
 //! headline comparison — one blocked solve with nrhs = 32 against 32
 //! back-to-back single-RHS solves — in `BENCH_pr6.json`.
 //!
@@ -98,34 +98,28 @@ fn main() {
     let max_w = *widths.last().unwrap();
     let b: Vec<f64> = (0..n * max_w).map(|_| r()).collect();
 
-    let engines: &[(&str, SolveEngine)] = &[
-        ("seq", SolveEngine::Sequential),
-        ("smp4", SolveEngine::Smp { threads: 4 }),
-    ];
+    let seq = SolveOpts::new().engine(SolveEngine::Sequential);
     let mut sweep = Vec::new();
-    for (tag, engine) in engines {
-        let opts = SolveOpts::new().engine(*engine);
-        for &nrhs in widths {
-            let rhs = &b[..n * nrhs];
-            let secs = best_secs(|| {
-                chol.solve_with(RhsBlock::new(rhs, nrhs), &opts)
-                    .expect("dims match");
-            });
-            let gf = flops_per_rhs * nrhs as f64 / secs / 1e9;
-            let rows_per_s = n as f64 * nrhs as f64 / secs;
-            println!(
-                "  {tag:<5} nrhs={nrhs:<3}  {:8.2} ms   {gf:6.2} GF/s   {:.2e} rows/s",
-                secs * 1e3,
-                rows_per_s
-            );
-            sweep.push(obj(vec![
-                ("engine", Json::str(tag)),
-                ("nrhs", Json::num_usize(nrhs)),
-                ("solve_s", Json::num_f64(secs)),
-                ("solve_gflops", Json::num_f64(gf)),
-                ("rows_per_s", Json::num_f64(rows_per_s)),
-            ]));
-        }
+    for &nrhs in widths {
+        let rhs = &b[..n * nrhs];
+        let secs = best_secs(|| {
+            chol.solve_with(RhsBlock::new(rhs, nrhs), &seq)
+                .expect("dims match");
+        });
+        let gf = flops_per_rhs * nrhs as f64 / secs / 1e9;
+        let rows_per_s = n as f64 * nrhs as f64 / secs;
+        println!(
+            "  seq   nrhs={nrhs:<3}  {:8.2} ms   {gf:6.2} GF/s   {:.2e} rows/s",
+            secs * 1e3,
+            rows_per_s
+        );
+        sweep.push(obj(vec![
+            ("engine", Json::str("seq")),
+            ("nrhs", Json::num_usize(nrhs)),
+            ("solve_s", Json::num_f64(secs)),
+            ("solve_gflops", Json::num_f64(gf)),
+            ("rows_per_s", Json::num_f64(rows_per_s)),
+        ]));
     }
 
     // Headline comparison: one blocked sequential solve at nrhs = 32 vs 32
@@ -133,7 +127,6 @@ fn main() {
     // produce bitwise-identical answers, so this isolates the throughput
     // gained by blocking (the gemm updates amortize panel traffic over the
     // RHS block).
-    let seq = SolveOpts::new().engine(SolveEngine::Sequential);
     let batched_s = best_secs(|| {
         chol.solve_with(RhsBlock::new(&b, max_w), &seq)
             .expect("dims match");

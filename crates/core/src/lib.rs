@@ -7,8 +7,9 @@
 //! - [`seq`] — the sequential supernodal multifrontal kernel (also the
 //!   per-rank engine of the distributed code, and the correctness oracle);
 //! - [`smp`] — shared-memory parallel: work-stealing over the assembly
-//!   tree with real threads (real wall-clock speedups on this machine),
-//!   with the matching tree-parallel solve in [`smp_solve`];
+//!   tree with real threads (real wall-clock speedups on this machine);
+//!   every host solve, whichever engine factored, runs the lane-group
+//!   sweeps of [`solver::SparseCholesky::solve_with`];
 //! - [`dist`] — distributed-memory: subtree-to-subcube (proportional)
 //!   mapping of the assembly tree onto ranks of a
 //!   [`parfact_mpsim::Machine`], block-cyclic 1-D/2-D distributed fronts
@@ -48,7 +49,6 @@ pub mod scalability;
 pub mod schur;
 pub mod seq;
 pub mod smp;
-pub mod smp_solve;
 pub mod solver;
 pub mod workspace;
 

@@ -639,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn smp_solve_end_to_end() {
+    fn smp_factor_solves_end_to_end() {
         let a = gen::elasticity3d(4, 4, 3);
         let n = a.nrows();
         let xstar: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();

@@ -210,14 +210,10 @@ pub enum SolveEngine {
     Auto,
     /// The whole solve in one lane group on the calling thread.
     Sequential,
-    /// Tree-parallel shared-memory base solve over the assembly tree,
-    /// then refinement in up to `threads` lane groups as under `Auto`.
-    /// `threads: 0` sizes the pool from the machine; a pool of one falls
-    /// back to the sequential sweep. Deterministic — contributions fold in
-    /// assembly-tree child order regardless of scheduling, so repeated
-    /// runs and different thread counts (≥ 2) agree bitwise — but the fold
-    /// order differs from `Sequential`'s direct scatter, so the two
-    /// engines agree to rounding, not bit for bit.
+    /// Lane groups as under `Auto`, on at most `threads` threads
+    /// (`threads: 0` sizes from the machine, like `Auto`). Only the group
+    /// count differs, so the result is bitwise identical to `Sequential`
+    /// for every `threads`.
     Smp {
         /// Worker threads (0 = auto).
         threads: usize,
@@ -610,16 +606,17 @@ impl SparseCholesky {
     ///
     /// The columns are split into contiguous lane groups — one per core
     /// under [`SolveEngine::Auto`], one in all under
-    /// [`SolveEngine::Sequential`] — and each group runs the whole solve
+    /// [`SolveEngine::Sequential`], at most `threads` under
+    /// [`SolveEngine::Smp`] — and each group runs the whole solve
     /// on its own thread: permute in, base sweep, refinement, permute out.
     /// Refinement stays in the permuted space of the factored matrix. Each
     /// step forms the residuals of the group's active columns with one
     /// interleaved spmv, drops a column whose residual ∞-norm is exactly
-    /// zero, and corrects the rest with one interleaved sweep. Under
-    /// [`SolveEngine::Smp`] only the base solve differs: it runs
-    /// tree-parallel before the groups take over. At most two `n x nrhs`
-    /// blocks are live at once, and the result is bitwise the same for
-    /// every group count.
+    /// zero, and corrects the rest with one interleaved sweep. At most two
+    /// `n x nrhs` blocks are live at once. The engines differ only in the
+    /// group count, and the result — `x`, [`Solved::residual`] and the
+    /// solve flops — is bitwise the same for every group count, so
+    /// `Auto`, `Sequential` and every `Smp { threads }` agree bit for bit.
     ///
     /// ```
     /// use parfact_core::solver::{FactorOpts, RhsBlock, SolveOpts, SparseCholesky};
@@ -674,28 +671,8 @@ impl SparseCholesky {
             refine: opts.refine,
             residual: opts.residual,
         };
-        let mut xp = vec![0.0; n * nrhs];
-        let based = if let SolveEngine::Smp { threads } = opts.engine {
-            // The tree-parallel base solve runs on the permuted
-            // column-major block; the lane groups take over from there.
-            for (c, col) in xp.chunks_exact_mut(n.max(1)).enumerate() {
-                for (k, v) in col.iter_mut().enumerate() {
-                    *v = job.rhs(k, c);
-                }
-            }
-            crate::smp_solve::solve_smp_permuted_in_place(
-                &self.factor,
-                &mut xp,
-                nrhs,
-                threads,
-                &tr,
-            );
-            true
-        } else {
-            false
-        };
         let mut x = vec![0.0; n * nrhs];
-        let tally = lanes::solve(&job, nrhs, groups, based, &mut xp, &mut x, &tr);
+        let tally = lanes::solve(&job, nrhs, groups, &mut x, &tr);
         let residual = (opts.refine > 0 || opts.residual).then_some(tally.worst);
         let seconds = t0.elapsed().as_secs_f64();
         // 4·nnz(L) flops per column per sweep pair and 4·nnz(A) per
@@ -1612,8 +1589,8 @@ mod tests {
         let seq = chol
             .solve_with(RhsBlock::new(&b, nrhs), &SolveOpts::new())
             .unwrap();
-        // SMP folds contributions front-by-front (seq scatters directly),
-        // so engines agree to rounding; thread counts agree bitwise.
+        // The engines differ only in the lane-group count, so every thread
+        // count agrees bitwise with `Auto`.
         let smp2 = chol
             .solve_with(
                 RhsBlock::new(&b, nrhs),
@@ -1627,7 +1604,7 @@ mod tests {
             )
             .unwrap();
         for (s, p) in seq.x.iter().zip(&smp2.x) {
-            assert!((s - p).abs() / s.abs().max(1.0) < 1e-12);
+            assert_eq!(s.to_bits(), p.to_bits());
         }
         for (p2, p4) in smp2.x.iter().zip(&smp4.x) {
             assert_eq!(p2.to_bits(), p4.to_bits());

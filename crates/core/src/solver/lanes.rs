@@ -48,7 +48,7 @@ pub(super) struct Tally {
 impl Job<'_> {
     /// Right-hand-side entry `k` of column `c` in the permuted (and,
     /// under equilibration, scaled) system: `b[old_of_new(k)]·d[..]`.
-    pub(super) fn rhs(&self, k: usize, c: usize) -> f64 {
+    fn rhs(&self, k: usize, c: usize) -> f64 {
         let old = self.factor.perm.old_of_new(k);
         let v = self.b[c * self.factor.sym.n + old];
         match self.scale {
@@ -90,16 +90,12 @@ fn group_widths(nrhs: usize, groups: usize) -> Vec<usize> {
 /// Run the solve of all `nrhs` columns in at most `groups` lane groups,
 /// the first on the calling thread and every other one on a scoped thread
 /// of its own, and leave the solution in `x` (`n x nrhs` column-major,
-/// like `b`). `xp` is scratch of the same size, except when `based`: it
-/// then holds the base solution, permuted and column-major, and the groups
-/// skip the permute-in and the base sweep. Each group records its sweeps
-/// as `Phase::Solve` spans on worker `group` of `tr`.
+/// like `b`). Each group records its sweeps as `Phase::Solve` spans on
+/// worker `group` of `tr`.
 pub(super) fn solve(
     job: &Job<'_>,
     nrhs: usize,
     groups: usize,
-    based: bool,
-    xp: &mut [f64],
     x: &mut [f64],
     tr: &Collector,
 ) -> Tally {
@@ -108,16 +104,16 @@ pub(super) fn solve(
     if n == 0 || nrhs == 0 {
         return tally;
     }
+    let mut xp = vec![0.0; n * nrhs];
     let mut work = Vec::new();
-    let (mut xp, mut x, mut c0) = (xp, x, 0);
+    let (mut xp, mut x, mut c0) = (xp.as_mut_slice(), x, 0);
     for g in group_widths(nrhs, groups) {
         let (xg, xp_rest) = xp.split_at_mut(n * g);
         let (og, x_rest) = x.split_at_mut(n * g);
         work.push((c0, g, xg, og));
         (xp, x, c0) = (xp_rest, x_rest, c0 + g);
     }
-    let run =
-        |group: usize, (c0, g, xg, og)| run_group(job, c0, g, based, xg, og, &mut tr.local(group));
+    let run = |group: usize, (c0, g, xg, og)| run_group(job, c0, g, xg, og, &mut tr.local(group));
     std::thread::scope(|s| {
         let mut work = work.into_iter().enumerate();
         let first = work.next().expect("at least one group");
@@ -163,28 +159,18 @@ fn run_group(
     job: &Job<'_>,
     c0: usize,
     g: usize,
-    based: bool,
     xp: &mut [f64],
     out: &mut [f64],
     rec: &mut LocalRecorder<'_>,
 ) -> Tally {
     let f = job.factor;
     let n = f.sym.n;
-    if based {
-        out.copy_from_slice(xp);
-        for (k, row) in xp.chunks_exact_mut(g).enumerate() {
-            for (l, v) in row.iter_mut().enumerate() {
-                *v = out[l * n + k];
-            }
+    for (k, row) in xp.chunks_exact_mut(g).enumerate() {
+        for (l, v) in row.iter_mut().enumerate() {
+            *v = job.rhs(k, c0 + l);
         }
-    } else {
-        for (k, row) in xp.chunks_exact_mut(g).enumerate() {
-            for (l, v) in row.iter_mut().enumerate() {
-                *v = job.rhs(k, c0 + l);
-            }
-        }
-        sweep(f, xp, g, rec);
     }
+    sweep(f, xp, g, rec);
     let mut tally = Tally::default();
     // `lanes[p]` is the lane at position `p`. The `na` active lanes are
     // interleaved in `xp[..n * na]`; a lane that dropped out sits alone at
@@ -278,7 +264,10 @@ fn run_group(
 mod tests {
     use super::group_widths;
     use crate::analysis;
+    use crate::factor::FactorKind;
     use crate::solver::{FactorOpts, RhsBlock, SolveEngine, SolveOpts, Solved, SparseCholesky};
+    use parfact_sparse::coo::CooMatrix;
+    use parfact_sparse::csc::CscMatrix;
     use parfact_sparse::gen;
 
     /// `nrhs` deterministic columns; `zero` names one to leave all zero.
@@ -291,8 +280,12 @@ mod tests {
             .collect()
     }
 
-    fn solve_flops(chol: &SparseCholesky) -> f64 {
-        chol.report_with_solve().solve.map_or(0.0, |s| s.flops)
+    /// Run `solve` and return its result with the solve flops it added.
+    fn with_flops(chol: &SparseCholesky, solve: impl FnOnce() -> Solved) -> (Solved, f64) {
+        let flops = || chol.report_with_solve().solve.map_or(0.0, |s| s.flops);
+        let before = flops();
+        let out = solve();
+        (out, flops() - before)
     }
 
     /// Solve in `groups` lane groups; returns the result and its flops.
@@ -303,11 +296,10 @@ mod tests {
         opts: &SolveOpts,
         groups: usize,
     ) -> (Solved, f64) {
-        let before = solve_flops(chol);
-        let out = chol
-            .solve_in_groups(RhsBlock::new(b, nrhs), opts, groups)
-            .unwrap();
-        (out, solve_flops(chol) - before)
+        with_flops(chol, || {
+            chol.solve_in_groups(RhsBlock::new(b, nrhs), opts, groups)
+                .unwrap()
+        })
     }
 
     fn assert_bitwise(got: &(Solved, f64), want: &(Solved, f64), label: &str) {
@@ -339,31 +331,74 @@ mod tests {
         assert_eq!(group_widths(33, 2), [16, 17]);
     }
 
+    /// Two disconnected tridiagonal blocks: a forest of two trees.
+    fn two_block_forest() -> CscMatrix {
+        let mut coo = CooMatrix::new(20, 20);
+        for base in [0, 10] {
+            for i in 0..10 {
+                coo.push(base + i, base + i, 3.0);
+                if i + 1 < 10 {
+                    coo.push(base + i + 1, base + i, -1.0);
+                }
+            }
+        }
+        coo.to_csc()
+    }
+
+    /// Every grouping and every solve engine gives bitwise the
+    /// `Sequential` answer, on LLᵀ and LDLᵀ factors, a forest and a
+    /// vector-valued problem.
     #[test]
     fn lane_groups_are_bitwise_the_sequential_solve() {
-        let a = gen::random_spd(160, 6, 11);
-        let n = a.nrows();
-        let (d, scaled) = analysis::equilibrate(&a);
-        for equilibrate in [false, true] {
-            let m = if equilibrate { &scaled } else { &a };
-            let chol = SparseCholesky::factorize(m, &FactorOpts::new()).unwrap();
-            for nrhs in [0usize, 1, 3, 4, 7, 8, 9, 16, 33] {
-                let b = rhs(n, nrhs, None);
-                for (refine, residual) in [(0, false), (0, true), (1, false), (2, false)] {
-                    let mut opts = SolveOpts::new().refine(refine).residual(residual);
-                    if equilibrate {
-                        opts = opts.equilibrate(d.clone());
-                    }
-                    let seq = opts.clone().engine(SolveEngine::Sequential);
-                    let before = solve_flops(&chol);
-                    let want = chol.solve_with(RhsBlock::new(&b, nrhs), &seq).unwrap();
-                    let want = (want, solve_flops(&chol) - before);
-                    for groups in [1, 2, 3, 5] {
+        let engines = [
+            SolveEngine::Auto,
+            SolveEngine::Smp { threads: 1 },
+            SolveEngine::Smp { threads: 2 },
+            SolveEngine::Smp { threads: 3 },
+        ];
+        for (name, a, kind) in [
+            ("random_spd", gen::random_spd(160, 6, 11), FactorKind::Llt),
+            ("indefinite", gen::indefinite(80, 9), FactorKind::Ldlt),
+            ("forest", two_block_forest(), FactorKind::Llt),
+            ("elasticity", gen::elasticity3d(4, 3, 3), FactorKind::Llt),
+        ] {
+            let n = a.nrows();
+            let mut cases = vec![(None, a.clone())];
+            // `analysis::equilibrate` needs a positive diagonal, which the
+            // indefinite matrix lacks.
+            if kind == FactorKind::Llt {
+                let (d, scaled) = analysis::equilibrate(&a);
+                cases.push((Some(d), scaled));
+            }
+            for (d, m) in &cases {
+                let chol = SparseCholesky::factorize(m, &FactorOpts::new().kind(kind)).unwrap();
+                for nrhs in [0usize, 1, 3, 4, 7, 8, 9, 16, 33] {
+                    let b = rhs(n, nrhs, None);
+                    for (refine, residual) in [(0, false), (0, true), (1, false), (2, false)] {
+                        let mut opts = SolveOpts::new().refine(refine).residual(residual);
+                        if let Some(d) = d {
+                            opts = opts.equilibrate(d.clone());
+                        }
                         let label = format!(
-                            "equilibrate={equilibrate} nrhs={nrhs} refine={refine} \
-                             residual={residual} groups={groups}"
+                            "{name} equilibrate={} nrhs={nrhs} refine={refine} \
+                             residual={residual}",
+                            d.is_some()
                         );
-                        assert_bitwise(&run(&chol, &b, nrhs, &opts, groups), &want, &label);
+                        let want = with_flops(&chol, || {
+                            let seq = opts.clone().engine(SolveEngine::Sequential);
+                            chol.solve_with(RhsBlock::new(&b, nrhs), &seq).unwrap()
+                        });
+                        for groups in [1, 2, 3, 5] {
+                            let got = run(&chol, &b, nrhs, &opts, groups);
+                            assert_bitwise(&got, &want, &format!("{label} groups={groups}"));
+                        }
+                        for engine in engines {
+                            let got = with_flops(&chol, || {
+                                let opts = opts.clone().engine(engine);
+                                chol.solve_with(RhsBlock::new(&b, nrhs), &opts).unwrap()
+                            });
+                            assert_bitwise(&got, &want, &format!("{label} {engine:?}"));
+                        }
                     }
                 }
             }
@@ -391,24 +426,12 @@ mod tests {
             assert_bitwise(&got, &want, &format!("groups={groups}"));
             assert!(got.0.x[5 * n..6 * n].iter().all(|&v| v == 0.0));
         }
-    }
-
-    #[test]
-    fn lane_groups_refine_the_smp_base_solve_bitwise() {
-        let a = gen::laplace3d(6, 5, 5, gen::Stencil3d::SevenPoint);
-        let n = a.nrows();
-        let chol = SparseCholesky::factorize(&a, &FactorOpts::new()).unwrap();
-        let smp = SolveOpts::new().engine(SolveEngine::Smp { threads: 2 });
-        for nrhs in [1usize, 9, 16] {
-            let b = rhs(n, nrhs, Some(nrhs / 2));
-            for refine in [0, 1, 2] {
-                let opts = smp.clone().refine(refine);
-                let want = run(&chol, &b, nrhs, &opts, 1);
-                for groups in [2, 3] {
-                    let label = format!("nrhs={nrhs} refine={refine} groups={groups}");
-                    assert_bitwise(&run(&chol, &b, nrhs, &opts, groups), &want, &label);
-                }
-            }
+        for threads in [2, 3] {
+            let opts = opts.clone().engine(SolveEngine::Smp { threads });
+            let got = with_flops(&chol, || {
+                chol.solve_with(RhsBlock::new(&b, 9), &opts).unwrap()
+            });
+            assert_bitwise(&got, &want, &format!("threads={threads}"));
         }
     }
 }

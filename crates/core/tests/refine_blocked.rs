@@ -5,7 +5,6 @@
 //! solve report must charge exactly the sweeps and spmvs that loop runs.
 
 use parfact_core::analysis;
-use parfact_core::smp_solve;
 use parfact_core::solver::{FactorOpts, RhsBlock, SolveEngine, SolveOpts, SparseCholesky};
 use parfact_sparse::{gen, ops};
 
@@ -28,10 +27,7 @@ fn per_column(chol: &SparseCholesky, b: &[f64], nrhs: usize, opts: &SolveOpts) -
             }
         }
     }
-    let mut x = match opts.engine {
-        SolveEngine::Smp { threads } => smp_solve::solve_smp_many(f, &bs, nrhs, threads).unwrap(),
-        _ => f.try_solve_many(&bs, nrhs).unwrap(),
-    };
+    let mut x = f.try_solve_many(&bs, nrhs).unwrap();
     let (mut sweeps, mut spmvs) = (nrhs, 0);
     let mut residual = None;
     if opts.refine > 0 || opts.residual {

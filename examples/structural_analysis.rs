@@ -50,7 +50,7 @@ fn main() {
     );
 
     // Static load: uniform gravity-ish right-hand side. Solve with one
-    // refinement step on the tree-parallel engine.
+    // refinement step on at most `threads` solve threads.
     let b = vec![-9.81; a.nrows()];
     let solve_opts = SolveOpts::new()
         .refine(1)

@@ -20,7 +20,7 @@
 # Regen mode rebuilds the committed artifacts with full (non-quick) runs
 # on an otherwise-idle machine — this replaces the old bench_pr2.sh:
 #
-#   scripts/bench_check.sh regen [pr2|analysis|all]   (default: all)
+#   scripts/bench_check.sh regen [pr2|analysis|scale|all]   (default: all)
 #
 # Check mode always exits 0: CI machines are noisy and the committed
 # baseline comes from a different host, so this is a trend alarm, not a
@@ -136,7 +136,7 @@ if [ -f "$solve_baseline" ]; then
         fi
     fi
 else
-    echo "WARN: $solve_baseline is missing — the batched-solve gate did NOT run; restore the committed artifact or regen it (scripts/bench_check.sh regen)"
+    echo "WARN: $solve_baseline is missing — the batched-solve gate did NOT run; restore the committed artifact (git checkout -- $solve_baseline)"
 fi
 
 # --- Analysis-scaling gate (warn-only) -----------------------------------

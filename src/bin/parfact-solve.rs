@@ -17,7 +17,8 @@
 //!                       the result is bitwise identical at any count
 //!   --ldlt              LDLt instead of Cholesky (symmetric indefinite)
 //!   --threads <t>       SMP engine with t threads (default: sequential);
-//!                       the solve phase uses the same thread pool
+//!                       the solve runs on at most t threads (default:
+//!                       every core), bitwise the same at any count
 //!   --ranks <p>         distributed engine on p simulated ranks
 //!   --inject <spec>     fault plan for the distributed run (needs --ranks);
 //!                       comma-separated: crash:<r>@t=<s> | crash:<r>@send=<k>
@@ -335,7 +336,7 @@ fn main() -> ExitCode {
     }
     let solve_opts = SolveOpts::new()
         .refine(args.refine)
-        .engine(if args.threads > 1 {
+        .engine(if args.threads > 0 {
             SolveEngine::Smp {
                 threads: args.threads,
             }

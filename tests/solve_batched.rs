@@ -5,7 +5,6 @@
 
 use parfact::core::dist::{prepare, run_distributed_prepared_traced};
 use parfact::core::mapping::MapStrategy;
-use parfact::core::smp_solve;
 use parfact::core::solver::{FactorOpts, RhsBlock, SolveEngine, SolveOpts, SparseCholesky};
 use parfact::core::FactorError;
 use parfact::mpsim::model::CostModel;
@@ -52,8 +51,7 @@ fn blocked_solve_is_bitwise_identical_to_per_column_loop() {
             for (p, q) in batched.x[col * n..(col + 1) * n].iter().zip(&one) {
                 assert_eq!(p.to_bits(), q.to_bits(), "seq nrhs={nrhs} col={col}");
             }
-            let one_smp = smp_solve::solve_smp(chol.factor(), bcol, 4);
-            for (p, q) in smp_batched.x[col * n..(col + 1) * n].iter().zip(&one_smp) {
+            for (p, q) in smp_batched.x[col * n..(col + 1) * n].iter().zip(&one) {
                 assert_eq!(p.to_bits(), q.to_bits(), "smp nrhs={nrhs} col={col}");
             }
         }
@@ -84,9 +82,10 @@ proptest! {
 }
 
 /// Multi-RHS parity across all three engines at several rank counts: the
-/// distributed solve ships RHS blocks through the simulated machine and
-/// must agree with the host sweeps to rounding (its leader-gather fold
-/// order differs, so the comparison is a tolerance, not bits).
+/// host engines agree bit for bit; the distributed solve ships RHS blocks
+/// through the simulated machine and must agree with the host sweeps to
+/// rounding (its leader-gather fold order differs, so the comparison is a
+/// tolerance, not bits).
 #[test]
 fn seq_smp_dist_multi_rhs_parity() {
     let a = gen::laplace3d(5, 5, 4, gen::Stencil3d::SevenPoint);
@@ -112,7 +111,7 @@ fn seq_smp_dist_multi_rhs_parity() {
         assert!(r < 1e-11, "seq col={col}: residual {r}");
     }
     for (s, p) in seq.x.iter().zip(&smp.x) {
-        assert!((s - p).abs() / s.abs().max(1.0) < 1e-12);
+        assert_eq!(s.to_bits(), p.to_bits(), "smp diverged from seq");
     }
     let (sym, ap, perm) = prepare(&a, Method::default(), &AmalgOpts::default());
     for ranks in [2usize, 4, 8] {
@@ -147,8 +146,8 @@ fn wrong_lengths_are_typed_errors_not_panics() {
     let n = a.nrows();
     let chol = SparseCholesky::factorize(&a, &FactorOpts::default()).unwrap();
     let b = vec![1.0; n];
-    // Facade, factor-level checked API, and SMP solve all agree on the
-    // error; only the documented legacy shims panic.
+    // Facade under every engine and the factor-level checked API all
+    // agree on the error; only the documented legacy shims panic.
     assert!(matches!(
         chol.solve_with(RhsBlock::new(&b, 3), &SolveOpts::new()),
         Err(FactorError::DimensionMismatch { .. })
@@ -158,7 +157,10 @@ fn wrong_lengths_are_typed_errors_not_panics() {
         Err(FactorError::DimensionMismatch { .. })
     ));
     assert!(matches!(
-        smp_solve::solve_smp_many(chol.factor(), &b, 2, 4),
+        chol.solve_with(
+            RhsBlock::new(&b, 2),
+            &SolveOpts::new().engine(SolveEngine::Smp { threads: 4 })
+        ),
         Err(FactorError::DimensionMismatch { .. })
     ));
 }
